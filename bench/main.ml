@@ -38,15 +38,12 @@
                 (unset = no cache); the [repo] artefact uses its own
                 scratch cache regardless
 
-   Intra-parallelism knobs (the [intra] artefact, explicit only):
-     HB_INTRA_BUDGET  per-run wall budget in seconds    (default 10)
-     HB_INTRA_CHECK   path to a speedup/overhead threshold file; a
-                      failed gate (or any seq/par verdict disagreement)
-                      makes the run exit 9 (the CI intra-smoke gate)
+   Exit codes: 1 bad HB_FAULT spec; 6 a campaign, journal or repo leg
+   failure; 7 any threshold or soak gate (perf, serve, chaos, fuzz).
 
    Usage: main.exe [table1|table2|table3|table4|table5|table6|
                     figure3|figure4|figure5|ablation|micro|perf|repo|
-                    serve|chaos|fuzz|intra]... *)
+                    serve|chaos|fuzz]... *)
 
 let env_float name default =
   match Sys.getenv_opt name with
@@ -57,6 +54,22 @@ let env_int name default =
   match Sys.getenv_opt name with
   | Some v -> ( match int_of_string_opt v with Some i -> i | None -> default)
   | None -> default
+
+(* Threshold files (HB_PERF_CHECK): one "<key> <limit>" pair per line,
+   '#' starts a comment line. Returned in file order. *)
+let read_thresholds path =
+  let ic = open_in path in
+  let rules = ref [] in
+  (try
+     while true do
+       let line = String.trim (input_line ic) in
+       if line <> "" && line.[0] <> '#' then
+         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+         | [ key; limit ] -> rules := (key, float_of_string limit) :: !rules
+         | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
+     done
+   with End_of_file -> close_in ic);
+  List.rev !rules
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------ *)
 
@@ -289,21 +302,10 @@ module Perf = struct
                   instances) );
          ])
 
-  (* Threshold file: one "<op> <max minor words per op>" per line
-     ('#' comments). Allocation rates are deterministic per build, so this
-     is a stable, machine-independent regression gate. *)
+  (* Threshold file: one "<op> <max minor words per op>" per line.
+     Allocation rates are deterministic per build, so this is a stable,
+     machine-independent regression gate. *)
   let check_thresholds path rows =
-    let ic = open_in path in
-    let thresholds = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-           | [ op; limit ] -> thresholds := (op, float_of_string limit) :: !thresholds
-           | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
-       done
-     with End_of_file -> close_in ic);
     let failures =
       List.filter_map
         (fun (op, limit) ->
@@ -314,7 +316,7 @@ module Perf = struct
                 (Printf.sprintf "%s: %.1f minor words/op exceeds threshold %.1f"
                    op r.words limit)
           | Some _ -> None)
-        !thresholds
+        (read_thresholds path)
     in
     if failures <> [] then begin
       List.iter (Printf.eprintf "perf regression: %s\n") failures;
@@ -569,17 +571,6 @@ module Serve_bench = struct
                    (int_of_float ((p /. 100. *. float_of_int (n - 1)) +. 0.5))))
 
   let check_thresholds path ~errors ~rps ~p99 =
-    let ic = open_in path in
-    let rules = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-           | [ key; limit ] -> rules := (key, float_of_string limit) :: !rules
-           | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
-       done
-     with End_of_file -> close_in ic);
     let failures =
       List.filter_map
         (fun (key, limit) ->
@@ -591,7 +582,7 @@ module Serve_bench = struct
           | "max_p99_ms" when p99 > limit -> fail "p99 above max_p99_ms %.0f"
           | "max_errors" | "min_rps" | "max_p99_ms" -> None
           | k -> Some (Printf.sprintf "unknown serve threshold %S" k))
-        !rules
+        (read_thresholds path)
     in
     if failures <> [] then begin
       List.iter (Printf.eprintf "serve regression: %s\n") failures;
@@ -1115,250 +1106,6 @@ module Fuzz_bench = struct
     end
 end
 
-(* --- intra: intra-instance parallel BalSep ----------------------------------- *)
-
-(* Measures the work-stealing Ghd.Par_bal_sep against sequential
-   Ghd.Bal_sep on seeded instances that make BalSep recurse, and writes
-   BENCH_intra.json: per-instance sequential / 1-domain / N-domain wall
-   times and verdicts, the recursion-depth histogram (balsep.depth,
-   recorded over the N-domain runs) and the scheduler's steal traffic.
-
-   HB_INTRA_BUDGET  per-run wall budget in seconds (default 10)
-   HB_INTRA_CHECK   threshold file; failing any line exits 9:
-     min_seconds T         only instances whose sequential run took at
-                           least T seconds gate the speedup (vacuous on
-                           boxes where nothing does, e.g. 2-vCPU smoke)
-     min_speedup S         N-domain speedup must reach S on every gated
-                           instance
-     max_jobs1_overhead R  1-domain wall / sequential wall <= R on every
-                           gated instance (the zero-regression gate)
-   A verdict disagreement between sequential and parallel always exits 9,
-   threshold file or not — that is a correctness failure, not a perf
-   miss. *)
-module Intra_bench = struct
-  type row = {
-    name : string;
-    k : int;
-    seq_s : float;
-    seq_v : string;
-    par1_s : float;
-    par1_v : string;
-    parn_s : float;
-    parn_v : string;
-  }
-
-  let verdict = function
-    | Detk.Decomposition _ -> "yes"
-    | Detk.No_decomposition -> "no"
-    | Detk.Timeout -> "timeout"
-
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-
-  (* Instances chosen to exercise the recursion: grids are the paper's
-     hard CSP Other family (width grows with the side), the CSP and
-     colouring instances give BalSep many balanced separators to split
-     on, scheduling is moderately cyclic. *)
-  let instances ~seed =
-    let rng = Kit.Rng.create seed in
-    [
-      ("grid-5x5", Gen.Structured.grid ~rows:5 ~cols:5, 3);
-      ("grid-6x6", Gen.Structured.grid ~rows:6 ~cols:6, 3);
-      ( "csp-large",
-        Gen.Random_csp.random rng ~n_variables:60 ~n_constraints:90
-          ~max_arity:4,
-        3 );
-      ("coloring-40", Gen.Structured.coloring rng ~n_vertices:40 ~avg_degree:4.0, 3);
-      ("scheduling-8x5", Gen.Structured.scheduling rng ~jobs:8 ~machines:5, 3);
-    ]
-
-  let render_json ~jobs ~budget rows depth steal =
-    let open Kit.Json in
-    let speedup r = r.seq_s /. Float.max r.parn_s 1e-9 in
-    to_string
-      (Obj
-         [
-           ("schema", String "hyperbench-intra/1");
-           ("jobs", Int jobs);
-           ("budget_seconds", Float budget);
-           ( "instances",
-             List
-               (List.map
-                  (fun r ->
-                    Obj
-                      [
-                        ("name", String r.name);
-                        ("k", Int r.k);
-                        ("seq_seconds", Float r.seq_s);
-                        ("seq_verdict", String r.seq_v);
-                        ("par1_seconds", Float r.par1_s);
-                        ("par1_verdict", String r.par1_v);
-                        ("parn_seconds", Float r.parn_s);
-                        ("parn_verdict", String r.parn_v);
-                        ("speedup", Float (speedup r));
-                      ])
-                  rows) );
-           ( "depth_histogram",
-             match depth with
-             | None -> Null
-             | Some (edges, counts) ->
-                 Obj
-                   [
-                     ("edges", List (List.map (fun e -> Int e) (Array.to_list edges)));
-                     ("counts", List (List.map (fun c -> Int c) (Array.to_list counts)));
-                   ] );
-           ( "steal",
-             Obj
-               [
-                 ("forked", Int steal.Kit.Steal.forked);
-                 ("executed", Int steal.Kit.Steal.executed);
-                 ("stolen", Int steal.Kit.Steal.stolen);
-                 ("inlined", Int steal.Kit.Steal.inlined);
-               ] );
-         ])
-
-  let read_thresholds path =
-    let ic = open_in path in
-    let kv = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-           | [ key; v ] -> kv := (key, float_of_string v) :: !kv
-           | _ -> failwith (Printf.sprintf "bad threshold line: %S" line)
-       done
-     with End_of_file -> close_in ic);
-    !kv
-
-  let check_thresholds path rows =
-    let kv = read_thresholds path in
-    let get k = List.assoc_opt k kv in
-    let min_seconds = Option.value ~default:1.0 (get "min_seconds") in
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-    List.iter
-      (fun r ->
-        let gated = r.seq_s >= min_seconds && r.seq_v <> "timeout" in
-        (match get "min_speedup" with
-        | Some s when gated && r.seq_s /. Float.max r.parn_s 1e-9 < s ->
-            fail "%s: speedup %.2fx below threshold %.2fx (seq %.2fs, par %.2fs)"
-              r.name
-              (r.seq_s /. Float.max r.parn_s 1e-9)
-              s r.seq_s r.parn_s
-        | _ -> ());
-        match get "max_jobs1_overhead" with
-        | Some m when gated && r.par1_s > r.seq_s *. m ->
-            fail "%s: jobs=1 wall %.2fs exceeds %.2fx the sequential %.2fs"
-              r.name r.par1_s m r.seq_s
-        | _ -> ())
-      rows;
-    if !failures <> [] then begin
-      List.iter (Printf.eprintf "intra regression: %s\n") !failures;
-      Printf.eprintf "intra: %d gate failure(s)\n%!" (List.length !failures);
-      exit 9
-    end
-
-  let main ~seed ~jobs () =
-    let budget = env_float "HB_INTRA_BUDGET" 10.0 in
-    let deadline () = Kit.Deadline.of_seconds budget in
-    let solve_seq h k =
-      timed (fun () ->
-          (Ghd.Bal_sep.solve ~deadline:(deadline ()) h ~k).Ghd.Bal_sep.outcome)
-    in
-    let solve_par ~jobs h k =
-      timed (fun () ->
-          (Ghd.Par_bal_sep.solve ~jobs ~deadline:(deadline ()) h ~k)
-            .Ghd.Bal_sep.outcome)
-    in
-    let insts = instances ~seed in
-    (* Sequential and 1-domain passes run metrics-off; the depth
-       histogram and steal totals are recorded over the N-domain pass
-       only, so they describe the parallel runs alone. *)
-    let partial =
-      List.map
-        (fun (name, h, k) ->
-          let o_seq, seq_s = solve_seq h k in
-          let o_par1, par1_s = solve_par ~jobs:1 h k in
-          (name, h, k, verdict o_seq, seq_s, verdict o_par1, par1_s))
-        insts
-    in
-    Kit.Metrics.reset ();
-    Kit.Metrics.enabled := true;
-    Kit.Steal.reset_totals ();
-    let rows =
-      List.map
-        (fun (name, h, k, seq_v, seq_s, par1_v, par1_s) ->
-          let o_parn, parn_s = solve_par ~jobs h k in
-          { name; k; seq_s; seq_v; par1_s; par1_v; parn_s;
-            parn_v = verdict o_parn })
-        partial
-    in
-    let snap = Kit.Metrics.snapshot () in
-    Kit.Metrics.enabled := false;
-    Kit.Metrics.reset ();
-    let depth = Kit.Metrics.get_histogram snap "balsep.depth" in
-    let steal = Kit.Steal.totals () in
-    Printf.printf "Intra-instance parallel BalSep (%d domains, %.0fs budget):\n"
-      jobs budget;
-    Printf.printf "  %-16s %2s %22s %22s %22s %8s\n" "instance" "k"
-      "seq" "par jobs=1" (Printf.sprintf "par jobs=%d" jobs) "speedup";
-    List.iter
-      (fun r ->
-        Printf.printf "  %-16s %2d %12.2fs %-8s %12.2fs %-8s %12.2fs %-8s %7.2fx\n"
-          r.name r.k r.seq_s r.seq_v r.par1_s r.par1_v r.parn_s r.parn_v
-          (r.seq_s /. Float.max r.parn_s 1e-9))
-      rows;
-    (match depth with
-    | Some (edges, counts) ->
-        Printf.printf "  recursion depth: %s\n"
-          (String.concat ", "
-             (List.mapi
-                (fun i c ->
-                  if i < Array.length edges then
-                    Printf.sprintf "<=%d: %d" edges.(i) c
-                  else Printf.sprintf ">%d: %d" edges.(Array.length edges - 1) c)
-                (Array.to_list counts)))
-    | None -> ());
-    Printf.printf "  steal scheduler: forked %d, executed %d, stolen %d, inlined %d\n"
-      steal.Kit.Steal.forked steal.Kit.Steal.executed steal.Kit.Steal.stolen
-      steal.Kit.Steal.inlined;
-    let path = "BENCH_intra.json" in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (render_json ~jobs ~budget rows depth steal));
-    Printf.printf "Wrote %s\n" path;
-    (* Differential agreement is unconditional: parallel scheduling must
-       never change an answer. Timeout rows are exempt only against a
-       decided row on the MORE generous side (a parallel run may finish
-       inside a budget the sequential run blew, and vice versa) — but a
-       yes against a no is always fatal. *)
-    let disagreements =
-      List.filter
-        (fun r ->
-          let decided v = v = "yes" || v = "no" in
-          (decided r.seq_v && decided r.parn_v && r.seq_v <> r.parn_v)
-          || (decided r.seq_v && decided r.par1_v && r.seq_v <> r.par1_v))
-        rows
-    in
-    if disagreements <> [] then begin
-      List.iter
-        (fun r ->
-          Printf.eprintf "intra verdict disagreement: %s (seq %s, par1 %s, par%d %s)\n"
-            r.name r.seq_v r.par1_v jobs r.parn_v)
-        disagreements;
-      Printf.eprintf "intra: %d verdict disagreement(s)\n%!"
-        (List.length disagreements);
-      exit 9
-    end;
-    match Sys.getenv_opt "HB_INTRA_CHECK" with
-    | Some p when p <> "" -> check_thresholds p rows
-    | Some _ | None -> ()
-end
-
 (* --- main ------------------------------------------------------------------- *)
 
 let () =
@@ -1467,8 +1214,5 @@ let () =
      are gate material, not default micro-bench material *)
   if List.mem "fuzz" args then
     Fuzz_bench.main ~seed ~cases:(env_int "HB_FUZZ_CASES" 2000) ();
-  (* explicit leg too: several multi-second solver runs, gate material
-     for the HB_INTRA_CHECK thresholds rather than default output *)
-  if List.mem "intra" args then Intra_bench.main ~seed ~jobs ();
   if wants "perf" then Perf.main ();
   if wants "micro" then micro ()

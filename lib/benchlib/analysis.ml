@@ -75,9 +75,6 @@ let analyze_one ~budget ~max_k ?cache (inst : Instance.t) =
   in
   { instance = inst; profile; hw_runs; hw; hd; stats }
 
-let analyze ?(budget = default_budget) ?(max_k = 8) ?jobs ?cache instances =
-  pool_map ?jobs (analyze_one ~budget ~max_k ?cache) instances
-
 type task = {
   task_instance : Instance.t;
   attempts : int;
@@ -177,8 +174,7 @@ type ghd_record = {
   stats : Kit.Metrics.snapshot;
 }
 
-let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
-    ?(intra_jobs = 1) records =
+let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs records =
   List.filter_map Fun.id
   @@ pool_map ?jobs
        (fun r ->
@@ -192,13 +188,6 @@ let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
               | Ghd.Portfolio.Bal_sep_alg ->
                   let a, s =
                     timed (fun () -> Ghd.Bal_sep.solve ~deadline:(budget ()) h ~k:target_k)
-                  in
-                  (a.Ghd.Bal_sep.outcome, a.Ghd.Bal_sep.exact, s)
-              | Ghd.Portfolio.Par_bal_sep_alg ->
-                  let a, s =
-                    timed (fun () ->
-                        Ghd.Par_bal_sep.solve ~jobs:intra_jobs
-                          ~deadline:(budget ()) h ~k:target_k)
                   in
                   (a.Ghd.Bal_sep.outcome, a.Ghd.Bal_sep.exact, s)
               | Ghd.Portfolio.Local_bip_alg ->
@@ -220,19 +209,11 @@ let ghd_comparison ?(budget = default_budget) ?(ks = [ 3; 4; 5; 6 ]) ?jobs
             in
             { algorithm = alg; outcome = v; seconds }
           in
-          (* The intra-parallel member joins the comparison only when it
-             actually gets extra domains. Its steal-worker domains record
-             into their own metric stores, outside this local delta — the
-             ticks still reach the process-wide snapshot, but per-record
-             [stats] under-report the parallel member; campaigns that pin
-             per-record deltas bit-for-bit keep [intra_jobs = 1]. *)
-          let members =
-            [ Ghd.Portfolio.Bal_sep_alg; Ghd.Portfolio.Local_bip_alg;
-              Ghd.Portfolio.Global_bip_alg ]
-            @ (if intra_jobs > 1 then [ Ghd.Portfolio.Par_bal_sep_alg ] else [])
-          in
           let runs, stats =
-            Kit.Metrics.local_delta (fun () -> List.map run members)
+            Kit.Metrics.local_delta (fun () ->
+                List.map run
+                  [ Ghd.Portfolio.Bal_sep_alg; Ghd.Portfolio.Local_bip_alg;
+                    Ghd.Portfolio.Global_bip_alg ])
           in
           let decided =
             List.filter (fun x -> x.outcome <> `Timeout) runs

@@ -1,10 +1,10 @@
 (** Experiment runners: the measured side of every table and figure.
 
-    [analyze] performs the paper's Figure-4 protocol on each instance:
-    solve Check(HD,k) for k = 1, 2, ... with a fresh budget per run,
-    continuing past "no" and "timeout" answers until the first "yes" (or
-    the cap). It also computes the structural profile of Table 2. The
-    other runners consume those records. *)
+    {!analyze_outcomes} performs the paper's Figure-4 protocol on each
+    instance: solve Check(HD,k) for k = 1, 2, ... with a fresh budget per
+    run, continuing past "no" and "timeout" answers until the first
+    "yes" (or the cap). It also computes the structural profile of
+    Table 2. The other runners consume those records. *)
 
 type verdict = [ `Yes | `No | `Timeout ]
 
@@ -26,24 +26,6 @@ type record = {
           around the k-ladder); {!Kit.Metrics.empty} unless metrics were
           enabled *)
 }
-
-val analyze :
-  ?budget:(unit -> Kit.Deadline.t) ->
-  ?max_k:int ->
-  ?jobs:int ->
-  ?cache:Result_cache.t ->
-  Instance.t list ->
-  record list
-(** [budget] supplies the per-run deadline (default: 1 s wall clock, the
-    scaled-down counterpart of the paper's 3600 s); it must produce a
-    fresh deadline per call and be callable from any domain. [max_k]
-    defaults to 8. [jobs] (default {!Kit.Pool.default_jobs}) sets the
-    domain-pool width; results are in instance order and — for
-    deterministic budgets such as [Kit.Deadline.of_fuel] — identical at
-    every [jobs] value. [cache] consults/feeds a {!Result_cache} at each
-    k level: validated hits replace the solve, definitive verdicts are
-    stored, timeouts are neither served nor stored, so cached and
-    uncached runs produce the same verdicts. *)
 
 val hw_bound : record -> int option
 (** The k with a yes answer (Exact or Upper), if any. *)
@@ -68,11 +50,23 @@ val analyze_outcomes :
   ?on_done:(task -> unit) ->
   Instance.t list ->
   task list
-(** Campaign-grade {!analyze}: each instance runs inside
-    {!Kit.Guard.run}, so a crash, leaked timeout, stack overflow or
-    (soft) allocation failure on one instance becomes that instance's
-    recorded outcome instead of destroying the run. Guarantees, in
-    addition to {!analyze}'s ordering/determinism:
+(** The k-ladder over a campaign, one guarded task per instance.
+
+    [budget] supplies the per-run deadline (default: 1 s wall clock, the
+    scaled-down counterpart of the paper's 3600 s); it must produce a
+    fresh deadline per call and be callable from any domain. [max_k]
+    defaults to 8. [jobs] (default {!Kit.Pool.default_jobs}) sets the
+    domain-pool width; results are in instance order and — for
+    deterministic budgets such as [Kit.Deadline.of_fuel] — identical at
+    every [jobs] value. [cache] consults/feeds a {!Result_cache} at each
+    k level: validated hits replace the solve, definitive verdicts are
+    stored, timeouts are neither served nor stored, so cached and
+    uncached runs produce the same verdicts.
+
+    Each instance runs inside {!Kit.Guard.run}, so a crash, leaked
+    timeout, stack overflow or (soft) allocation failure on one instance
+    becomes that instance's recorded outcome instead of destroying the
+    run. Further guarantees:
 
     - a non-[Ok] outcome is retried up to [retries] times (default: the
       [HB_RETRIES] environment knob, else 0), each attempt drawing its
@@ -122,18 +116,11 @@ val ghd_comparison :
   ?budget:(unit -> Kit.Deadline.t) ->
   ?ks:int list ->
   ?jobs:int ->
-  ?intra_jobs:int ->
   record list ->
   ghd_record list
 (** Table 3/4 protocol: for every instance whose hw (yes-level) k is in
     [ks] (default [3;4;5;6]), run all three GHD algorithms on
-    Check(GHD, k-1). With [intra_jobs > 1] (default 1) the comparison
-    additionally runs {!Ghd.Par_bal_sep} on [intra_jobs] domains —
-    how a campaign spends idle pool domains when the instance shard is
-    narrower than the pool. Caveat: the parallel member's steal workers
-    record metrics on their own domains, outside the per-record
-    [stats] delta (the ticks still reach the global snapshot), so
-    audits that pin per-record deltas must keep [intra_jobs = 1]. *)
+    Check(GHD, k-1). *)
 
 type frac_record = {
   name : string;

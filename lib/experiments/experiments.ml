@@ -12,33 +12,6 @@ type context = {
   stats : Kit.Metrics.snapshot;
 }
 
-(* With intra-instance parallelism enabled, the ghd pass hands each
-   parallel member the domains the pool would otherwise leave idle: when
-   the record shard is narrower than the pool, the leftover width goes to
-   Par_bal_sep; when there are at least as many records as domains, every
-   domain is busy with its own instance and members stay sequential. *)
-let intra_width ~intra ?jobs n_records =
-  if not intra then 1
-  else
-    let pool =
-      match jobs with Some j -> j | None -> Kit.Pool.default_jobs ()
-    in
-    max 1 (pool / max 1 n_records)
-
-let prepare ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0) ?budget
-    ?(max_k = 8) ?jobs ?(intra = false) ?cache () =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> fun () -> Kit.Deadline.of_seconds budget_seconds
-  in
-  let instances = Repository.build ~seed ~scale () in
-  let records = Analysis.analyze ~budget ~max_k ?jobs ?cache instances in
-  let intra_jobs = intra_width ~intra ?jobs (List.length records) in
-  let ghd = Analysis.ghd_comparison ~budget ?jobs ~intra_jobs records in
-  let frac = Analysis.fractional ~budget ?jobs records in
-  { instances; records; ghd; frac; stats = Kit.Metrics.snapshot () }
-
 (* Solver seconds actually measured by the analysis pass: the sequential-
    equivalent cost, used by bench/main.ml to report the pool speedup. *)
 let solver_seconds ctx =
@@ -718,8 +691,8 @@ type campaign = {
 }
 
 let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
-    ?budget ?budget_for ?retries ?mem_mb ?(max_k = 8) ?jobs ?(intra = false)
-    ?isolate ?wall ?shard ?cache ?journal ?(resume = false) () =
+    ?budget ?budget_for ?retries ?mem_mb ?(max_k = 8) ?jobs ?isolate ?wall
+    ?shard ?cache ?journal ?(resume = false) () =
   let budget =
     match budget with
     | Some b -> b
@@ -829,8 +802,7 @@ let prepare_campaign ?(seed = 2019) ?(scale = 1.0) ?(budget_seconds = 1.0)
       let records =
         List.filter_map (fun t -> Kit.Outcome.get t.Analysis.result) tasks
       in
-      let intra_jobs = intra_width ~intra ?jobs (List.length records) in
-      let ghd = Analysis.ghd_comparison ~budget ?jobs ~intra_jobs records in
+      let ghd = Analysis.ghd_comparison ~budget ?jobs records in
       let frac = Analysis.fractional ~budget ?jobs records in
       Ok
         {
@@ -976,19 +948,3 @@ let campaign_summary c =
       end)
     c.tasks;
   Buffer.contents buf
-
-let run_all ?seed ?scale ?budget_seconds () =
-  let ctx = prepare ?seed ?scale ?budget_seconds () in
-  String.concat "\n"
-    [
-      table1 ctx;
-      table2 ctx;
-      figure3 ctx;
-      figure4 ctx;
-      figure5 ctx;
-      table3 ctx;
-      table4 ctx;
-      table5 ctx;
-      table6 ctx;
-      ablation ?budget_seconds ctx;
-    ]

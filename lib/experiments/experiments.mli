@@ -1,6 +1,6 @@
 (** Reproductions of every table and figure of the paper's evaluation
     (§5.6 and §6). Each function renders one artefact in the paper's shape
-    from a shared analysis pass; [run_all] executes them in order.
+    from the shared analysis pass of {!prepare_campaign}.
 
     Absolute counts differ from the paper (our repository is a seeded,
     scaled rebuild of sources that are not redistributable; see DESIGN.md)
@@ -14,41 +14,10 @@ type context = {
   ghd : Benchlib.Analysis.ghd_record list;
   frac : Benchlib.Analysis.frac_record list;
   stats : Kit.Metrics.snapshot;
-      (** global metrics snapshot taken when [prepare] finished — the
+      (** global metrics snapshot taken when the campaign finished — the
           accumulated search effort of the whole analysis pass
           ({!Kit.Metrics.empty} unless [Kit.Metrics.enabled] was set) *)
 }
-
-val prepare :
-  ?seed:int ->
-  ?scale:float ->
-  ?budget_seconds:float ->
-  ?budget:(unit -> Kit.Deadline.t) ->
-  ?max_k:int ->
-  ?jobs:int ->
-  ?intra:bool ->
-  ?cache:Benchlib.Result_cache.t ->
-  unit ->
-  context
-(** Build the repository and run the shared hw / ghw / fractional
-    analyses. [cache] consults/feeds a content-addressed
-    {!Benchlib.Result_cache} during the hw ladder. [budget_seconds] (default 1.0) is the per-run timeout — the
-    scaled-down stand-in for the paper's 3600 s; [budget] overrides it
-    with an arbitrary per-run deadline factory (e.g.
-    [Kit.Deadline.of_fuel] for bit-reproducible runs). [jobs] (default
-    {!Kit.Pool.default_jobs}, i.e. the [HB_JOBS] knob) runs the
-    per-instance loops on a domain pool. Results are collected in
-    instance order, so verdicts and table contents do not depend on the
-    pool interleaving; with a wall-clock budget, runs close to the
-    timeout boundary remain timing-sensitive (between any two runs, at
-    any [jobs]), while a fuel budget makes the tables identical at every
-    [jobs] value.
-
-    [intra] (default false; the [HB_INTRA] knob) adds the intra-parallel
-    {!Ghd.Par_bal_sep} member to the ghd comparison, giving it the
-    domains the pool would otherwise idle:
-    [intra_jobs = max 1 (jobs / records)]. When the repository is at
-    least as wide as the pool this stays 1 and the pass is unchanged. *)
 
 val table1 : context -> string
 (** Benchmark overview: instances and cyclic counts per source. *)
@@ -91,10 +60,8 @@ val metrics_summary : Kit.Metrics.snapshot -> string
 
 val solver_seconds : context -> float
 (** Total solver time measured across the analysis (the sequential-
-    equivalent cost); divide by the wall-clock time of {!prepare} to
-    estimate the pool speedup. *)
-
-val run_all : ?seed:int -> ?scale:float -> ?budget_seconds:float -> unit -> string
+    equivalent cost); divide by the wall-clock time of
+    {!prepare_campaign} to estimate the pool speedup. *)
 
 (** {1 Fault-tolerant campaigns} *)
 
@@ -122,7 +89,6 @@ val prepare_campaign :
   ?mem_mb:int ->
   ?max_k:int ->
   ?jobs:int ->
-  ?intra:bool ->
   ?isolate:bool ->
   ?wall:(attempt:int -> float) ->
   ?shard:int * int ->
@@ -131,7 +97,20 @@ val prepare_campaign :
   ?resume:bool ->
   unit ->
   (campaign, string) result
-(** {!prepare}, hardened for long campaigns. Every instance runs inside
+(** Build the repository and run the shared hw / ghw / fractional
+    analyses. [budget_seconds] (default 1.0) is the per-run timeout —
+    the scaled-down stand-in for the paper's 3600 s; [budget] overrides
+    it with an arbitrary per-run deadline factory (e.g.
+    [Kit.Deadline.of_fuel] for bit-reproducible runs). [jobs] (default
+    {!Kit.Pool.default_jobs}, i.e. the [HB_JOBS] knob) runs the
+    per-instance loops on a domain pool. Results are collected in
+    instance order, so verdicts and table contents do not depend on the
+    pool interleaving; with a wall-clock budget, runs close to the
+    timeout boundary remain timing-sensitive (between any two runs, at
+    any [jobs]), while a fuel budget makes the tables identical at every
+    [jobs] value.
+
+    Every instance runs inside
     {!Kit.Guard.run} (via {!Benchlib.Analysis.analyze_outcomes}): a
     crash, stack overflow, [HB_MEM_MB] trip or leaked timeout becomes
     that instance's recorded outcome and the campaign continues.

@@ -49,12 +49,12 @@ let expand_array id dims =
   in
   go id dims
 
+let is_token_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '[' || c = ']'
+
 (* Tokens that look like variable references: name, name[i], name[i][j]. *)
 let scope_tokens text =
-  let is_token_char c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_' || c = '[' || c = ']'
-  in
   let len = String.length text in
   let out = ref [] in
   let i = ref 0 in
@@ -218,22 +218,60 @@ let read_report src =
 let read_file path =
   match parse_file path with Error _ as e -> e | Ok inst -> to_hypergraph inst
 
+let xml_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '"' -> Buffer.add_string buf "&quot;"
+      | '\'' -> Buffer.add_string buf "&apos;"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* Variable ids for [to_xml], one per vertex. A name that [scope_tokens]
+   reads back as one token is written verbatim; any other name (a dot, a
+   quote, an ampersand, a space, the empty name) would split or vanish in
+   a scope, so it gets a fresh [v<i>] that collides with no verbatim name
+   and no other fresh id. *)
+let variable_ids names =
+  let verbatim n = n <> "" && String.for_all is_token_char n in
+  let taken = Hashtbl.create (Array.length names) in
+  Array.iter (fun n -> if verbatim n then Hashtbl.replace taken n ()) names;
+  Array.mapi
+    (fun i n ->
+      if verbatim n then n
+      else begin
+        let rec fresh j =
+          let id =
+            if j = 0 then Printf.sprintf "v%d" i else Printf.sprintf "v%d_%d" i j
+          in
+          if Hashtbl.mem taken id then fresh (j + 1) else id
+        in
+        let id = fresh 0 in
+        Hashtbl.replace taken id ();
+        id
+      end)
+    names
+
 let to_xml ~name h =
+  let ids = variable_ids h.Hg.Hypergraph.vertex_names in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "<instance id=\"%s\" format=\"XCSP3\" type=\"CSP\">\n  <variables>\n" name);
+    (Printf.sprintf "<instance id=\"%s\" format=\"XCSP3\" type=\"CSP\">\n  <variables>\n"
+       (xml_escape name));
   Array.iter
     (fun v ->
       Buffer.add_string buf
         (Printf.sprintf "    <var id=\"%s\"> 0..1 </var>\n" v))
-    h.Hg.Hypergraph.vertex_names;
+    ids;
   Buffer.add_string buf "  </variables>\n  <constraints>\n";
   Array.iteri
     (fun i e ->
       let scope =
-        Kit.Bitset.to_list e
-        |> List.map (Hg.Hypergraph.vertex_name h)
-        |> String.concat " "
+        Kit.Bitset.to_list e |> List.map (fun v -> ids.(v)) |> String.concat " "
       in
       ignore i;
       Buffer.add_string buf

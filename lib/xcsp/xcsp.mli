@@ -41,4 +41,8 @@ val read_file : string -> (Hg.Hypergraph.t, string) result
 
 val to_xml : name:string -> Hg.Hypergraph.t -> string
 (** Render a hypergraph as an XCSP-style instance with one extensional
-    constraint per edge. *)
+    constraint per edge, one [<var>] per vertex in vertex order. A vertex
+    name made only of letters, digits, [_], [\[] and [\]] is its variable
+    id; any other name (the reader would split it, or it is not valid
+    in an attribute) is written as a fresh [v<i>] id, so {!read} gives
+    back the hypergraph up to that renaming. [name] is XML-escaped. *)

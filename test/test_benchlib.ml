@@ -116,13 +116,26 @@ let fast_budget () = Kit.Deadline.of_seconds 0.2
    bit-identical however the instances are spread over domains. *)
 let fuel_budget () = Kit.Deadline.of_fuel 20_000
 
+(* The k-ladder records of [instances]: the campaign runner in-process
+   and without retries. An instance that does not come back [Ok] fails
+   the test. *)
+let analyze ~budget ~max_k ?jobs instances =
+  B.Analysis.analyze_outcomes ~budget ~max_k ?jobs ~retries:0 ~isolate:false
+    instances
+  |> List.map (fun (t : B.Analysis.task) ->
+         match Kit.Outcome.get t.B.Analysis.result with
+         | Some r -> r
+         | None ->
+             Alcotest.failf "%s: %s" t.B.Analysis.task_instance.B.Instance.name
+               (Kit.Outcome.label t.B.Analysis.result))
+
 let analysis_parallel_matches_sequential () =
   let instances = build () in
   let seq =
-    B.Analysis.analyze ~budget:fuel_budget ~max_k:4 ~jobs:1 instances
+    analyze ~budget:fuel_budget ~max_k:4 ~jobs:1 instances
   in
   let par =
-    B.Analysis.analyze ~budget:fuel_budget ~max_k:4 ~jobs:4 instances
+    analyze ~budget:fuel_budget ~max_k:4 ~jobs:4 instances
   in
   Alcotest.(check int) "same record count" (List.length seq) (List.length par);
   List.iter2
@@ -146,7 +159,7 @@ let analysis_parallel_matches_sequential () =
 
 let analysis_statuses () =
   let instances = build () in
-  let records = B.Analysis.analyze ~budget:fast_budget ~max_k:4 instances in
+  let records = analyze ~budget:fast_budget ~max_k:4 instances in
   Alcotest.(check int) "one record per instance" (List.length instances)
     (List.length records);
   List.iter
@@ -175,7 +188,7 @@ let analysis_statuses () =
 
 let analysis_witnesses_valid () =
   let instances = build () in
-  let records = B.Analysis.analyze ~budget:fast_budget ~max_k:4 instances in
+  let records = analyze ~budget:fast_budget ~max_k:4 instances in
   List.iter
     (fun (r : B.Analysis.record) ->
       match r.B.Analysis.hd with
@@ -189,7 +202,7 @@ let analysis_witnesses_valid () =
 
 let stats_histograms () =
   let instances = build () in
-  let records = B.Analysis.analyze ~budget:fast_budget ~max_k:3 instances in
+  let records = analyze ~budget:fast_budget ~max_k:3 instances in
   let hist =
     B.Stats.property_histogram
       (fun r -> Some r.B.Analysis.profile.Hg.Properties.degree)
@@ -279,7 +292,7 @@ let metrics_jobs_parity () =
     let records =
       Fun.protect
         ~finally:(fun () -> Kit.Metrics.enabled := false)
-        (fun () -> B.Analysis.analyze ~budget:fuel_budget ~max_k:4 ~jobs instances)
+        (fun () -> analyze ~budget:fuel_budget ~max_k:4 ~jobs instances)
     in
     let snap = Kit.Metrics.snapshot () in
     Kit.Metrics.reset ();
@@ -317,7 +330,12 @@ let experiments_render () =
   (* jobs:2 renders through the domain pool; the artefact shape checks
      below are jobs-independent. *)
   let ctx =
-    Experiments.prepare ~seed:7 ~scale:0.05 ~budget_seconds:0.2 ~max_k:4 ~jobs:2 ()
+    match
+      Experiments.prepare_campaign ~seed:7 ~scale:0.05 ~budget_seconds:0.2
+        ~max_k:4 ~jobs:2 ~isolate:false ()
+    with
+    | Ok c -> c.Experiments.context
+    | Error m -> Alcotest.fail m
   in
   let checks =
     [

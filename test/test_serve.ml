@@ -118,18 +118,7 @@ let decompose_verdicts () =
       in
       Alcotest.(check int) "portfolio status" 200 r.Serve.Client.status;
       Alcotest.(check bool) "portfolio verdict present" true
-        (contains "\"verdict\":" r.Serve.Client.body);
-      (* work-stealing balsep (in-process daemon: pinned to one domain,
-         fork-safety) answers like the sequential solver *)
-      let r =
-        post (decompose_target 2 ~extra:"&method=parbalsep") triangle
-          [ hg_type ]
-      in
-      Alcotest.(check int) "parbalsep status" 200 r.Serve.Client.status;
-      Alcotest.(check bool) "parbalsep verdict yes" true
-        (contains "\"verdict\":\"yes\"" r.Serve.Client.body);
-      Alcotest.(check bool) "parbalsep tagged" true
-        (contains "\"algorithm\":\"parbalsep\"" r.Serve.Client.body))
+        (contains "\"verdict\":" r.Serve.Client.body))
 
 let decompose_errors () =
   with_server (fun port ->

@@ -241,7 +241,73 @@ let roundtrip () =
           (Printf.sprintf "roundtrip %d structure" i)
           true
           (H.equal_structure h h')
-  done
+  done;
+  (* Names of token characters only are written verbatim, byte for byte. *)
+  Alcotest.(check string) "verbatim output"
+    "<instance id=\"p\" format=\"XCSP3\" type=\"CSP\">\n\
+    \  <variables>\n\
+    \    <var id=\"x\"> 0..1 </var>\n\
+    \    <var id=\"y[1]\"> 0..1 </var>\n\
+    \  </variables>\n\
+    \  <constraints>\n\
+    \    <extension>\n\
+    \      <list> x y[1] </list>\n\
+    \      <supports> </supports>\n\
+    \    </extension>\n\
+    \  </constraints>\n\
+    </instance>\n"
+    (Xcsp3.Xcsp.to_xml ~name:"p" (H.of_named_edges [ ("e0", [ "x"; "y[1]" ]) ]));
+  (* Any other name gets a fresh id: the parsed hypergraph equals the
+     input up to that renaming, and the instance id survives escaping. *)
+  let token_only n =
+    n <> ""
+    && String.for_all
+         (fun c ->
+           (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+           || (c >= '0' && c <= '9') || c = '_' || c = '[' || c = ']')
+         n
+  in
+  List.iter
+    (fun (label, edges) ->
+      let h =
+        H.of_named_edges (List.mapi (fun i e -> (Printf.sprintf "e%d" i, e)) edges)
+      in
+      let name = Printf.sprintf "rt \"%s\" & <x>" label in
+      match Xcsp3.Xcsp.parse (Xcsp3.Xcsp.to_xml ~name h) with
+      | Error m -> Alcotest.failf "roundtrip %s: %s" label m
+      | Ok inst -> (
+          Alcotest.(check string) (label ^ " instance id") name inst.Xcsp3.Xcsp.name;
+          let ids = Array.of_list inst.Xcsp3.Xcsp.variables in
+          Alcotest.(check int) (label ^ " one id per vertex") h.H.n_vertices
+            (Array.length ids);
+          Alcotest.(check int) (label ^ " ids distinct") (Array.length ids)
+            (List.length (List.sort_uniq compare inst.Xcsp3.Xcsp.variables));
+          Array.iteri
+            (fun i n ->
+              if token_only n then
+                Alcotest.(check string) (label ^ " verbatim " ^ n) n ids.(i))
+            h.H.vertex_names;
+          let id_of = Hashtbl.create 16 in
+          Array.iteri (fun i n -> Hashtbl.replace id_of n ids.(i)) h.H.vertex_names;
+          let renamed =
+            H.of_named_edges
+              (List.mapi
+                 (fun i e -> (Printf.sprintf "e%d" i, List.map (Hashtbl.find id_of) e))
+                 edges)
+          in
+          match Xcsp3.Xcsp.to_hypergraph inst with
+          | Error m -> Alcotest.failf "roundtrip %s: %s" label m
+          | Ok h' ->
+              Alcotest.(check bool) (label ^ " structure up to renaming") true
+                (H.equal_structure renamed h');
+              Alcotest.(check string) (label ^ " fingerprint up to renaming")
+                (H.fingerprint renamed) (H.fingerprint h')))
+    [
+      ("dotted", [ [ "t.a"; "t.b" ]; [ "t.b"; "u.c" ]; [ "u.c"; "t.a"; "x" ] ]);
+      ("quoted", [ [ "a\"b"; "c" ]; [ "c"; "d'e" ]; [ "d'e"; "a\"b" ] ]);
+      ("ampersand", [ [ "a&b"; "c" ]; [ "c"; "&amp;" ]; [ "&amp;"; "a&b" ] ]);
+      ("colliding", [ [ "."; "v0" ]; [ "v0_1"; "v0"; "" ]; [ "."; "v2" ] ]);
+    ]
 
 let () =
   Alcotest.run "xcsp"
