@@ -265,56 +265,6 @@ let race_cancel_accounting () =
       Alcotest.(check bool) "at most members-1 cancelled per race" true
         (cancelled <= 2 * (List.length Ghd.Portfolio.order - 1)))
 
-(* --- BalSep deadline polling ------------------------------------------------ *)
-
-(* Deadline polls fire INSIDE the separator-candidate enumeration loop,
-   not just at node expansions and separator trials. With
-   [use_subedges:false] those three are the only poll sites, and node
-   expansions and separator trials each pair 1:1 with a metric (the
-   balsep.depth histogram and balsep.separators_tried), so
-   [consumed - nodes - separators] counts exactly the in-loop polls. *)
-let enumeration_polls_deadline () =
-  with_metrics (fun () ->
-      let budget = 2_000_000 in
-      let d = Kit.Deadline.of_fuel budget in
-      (match
-         (Ghd.Bal_sep.solve ~deadline:d ~use_subedges:false fano ~k:2)
-           .Ghd.Bal_sep.outcome
-       with
-      | Detk.Timeout -> Alcotest.fail "unexpected timeout"
-      | Detk.No_decomposition | Detk.Decomposition _ -> ());
-      let consumed =
-        budget - Option.value ~default:0 (Kit.Deadline.fuel_remaining d)
-      in
-      let snap = Kit.Metrics.snapshot () in
-      let nodes =
-        match Kit.Metrics.get_histogram snap "balsep.depth" with
-        | Some (_, counts) -> Array.fold_left ( + ) 0 counts
-        | None -> Alcotest.fail "balsep.depth histogram missing"
-      in
-      let separators = Kit.Metrics.get snap "balsep.separators_tried" in
-      let in_loop = consumed - nodes - separators in
-      Alcotest.(check bool)
-        (Printf.sprintf
-           "in-loop polls fired (consumed %d, nodes %d, separators %d)"
-           consumed nodes separators)
-        true (in_loop > 0))
-
-(* A budget too small for even one node's candidate enumeration still
-   times the search out (a once-per-node poll would sail past it inside
-   the loop). *)
-let enumeration_respects_tight_fuel () =
-  let wide =
-    H.of_int_edges (List.init 20 (fun i -> [ i; (i + 1) mod 20; (i + 9) mod 20 ]))
-  in
-  match
-    (Ghd.Bal_sep.solve ~deadline:(Kit.Deadline.of_fuel 40) wide ~k:2)
-      .Ghd.Bal_sep.outcome
-  with
-  | Detk.Timeout -> ()
-  | Detk.Decomposition _ -> Alcotest.fail "expected timeout on tight fuel, got yes"
-  | Detk.No_decomposition -> Alcotest.fail "expected timeout on tight fuel, got no"
-
 let portfolio_improvement () =
   (* hw(fano) = 3 and ghw(fano) = 3: no improvement possible. *)
   (match Ghd.Portfolio.ghw_improvement fano ~hw:3 with
@@ -439,13 +389,6 @@ let () =
           Alcotest.test_case "race cancel accounting" `Quick
             race_cancel_accounting;
           Alcotest.test_case "improvement" `Quick portfolio_improvement;
-        ] );
-      ( "deadline polling",
-        [
-          Alcotest.test_case "polls inside enumeration" `Quick
-            enumeration_polls_deadline;
-          Alcotest.test_case "tight fuel times out" `Quick
-            enumeration_respects_tight_fuel;
         ] );
       ( "properties",
         [
